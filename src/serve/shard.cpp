@@ -1,5 +1,6 @@
 #include "serve/shard.h"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -188,24 +189,31 @@ std::size_t Shard::drain(std::vector<Decision>& out) {
   // a crash can lose only decisions nobody has seen yet. Staleness is the
   // one thing predicted here instead of discovered in apply_event; the
   // prediction tracks in-batch seq advances so it matches apply order
-  // exactly.
+  // exactly. pending_ holds at most drain_batch entries, so it is scanned
+  // linearly.
   if (durable()) {
     IDLERED_OBS_ONLY(
         const bool tracing = obs::enabled();
         const double wal_t0 = tracing ? obs::recorder().now() : 0.0;
         std::vector<const StopEvent*> walled;)
-    std::map<std::uint64_t, std::uint64_t> pending;
+    pending_.clear();
     std::uint64_t index = apply_index_;
     for (const StopEvent& ev : batch_) {
+      const auto p =
+          std::find_if(pending_.begin(), pending_.end(),
+                       [&](const auto& e) { return e.first == ev.vehicle; });
       std::uint64_t last = 0;
-      if (const auto p = pending.find(ev.vehicle); p != pending.end()) {
+      if (p != pending_.end()) {
         last = p->second;
-      } else if (const auto s = states_.find(ev.vehicle);
-                 s != states_.end()) {
-        last = s->second.last_seq;
+      } else if (const VehicleState* s = states_.find(ev.vehicle)) {
+        last = s->last_seq;
       }
       if (ev.seq == 0 || ev.seq <= last) continue;  // stale: pure no-op
-      pending[ev.vehicle] = ev.seq;
+      if (p != pending_.end()) {
+        p->second = ev.seq;
+      } else {
+        pending_.emplace_back(ev.vehicle, ev.seq);
+      }
       wal_.append(WalRecord{++index, ev, ceiling});
       IDLERED_OBS_ONLY(if (tracing) walled.push_back(&ev);)
     }
@@ -242,11 +250,7 @@ std::size_t Shard::drain(std::vector<Decision>& out) {
 }
 
 VehicleState& Shard::vehicle(std::uint64_t id) {
-  const auto it = states_.find(id);
-  if (it != states_.end()) return it->second;
-  return states_
-      .emplace(id, VehicleState(params_.break_even, params_.guard))
-      .first->second;
+  return *states_.try_emplace(id, params_.break_even, params_.guard).first;
 }
 
 Decision Shard::apply_event(const StopEvent& event,
@@ -270,15 +274,15 @@ Decision Shard::apply_event_impl(const StopEvent& event,
   // Stale check without creating state: a duplicate for an unseen vehicle
   // must stay a pure no-op or replayed shards would track different
   // vehicle sets than the original.
-  const auto it = states_.find(event.vehicle);
-  const std::uint64_t last = it == states_.end() ? 0 : it->second.last_seq;
+  VehicleState* const found = states_.find(event.vehicle);
+  const std::uint64_t last = found == nullptr ? 0 : found->last_seq;
   if (event.seq == 0 || event.seq <= last) {
     d.outcome = Outcome::kRejectedStale;
     IDLERED_COUNT("serve.events.stale");
     return d;
   }
 
-  VehicleState& state = it != states_.end() ? it->second : vehicle(event.vehicle);
+  VehicleState& state = found != nullptr ? *found : vehicle(event.vehicle);
   state.last_seq = event.seq;
   ++apply_index_;
   ++applied_since_checkpoint_;
@@ -377,10 +381,20 @@ double Shard::decide_threshold(const StopEvent& event, VehicleState& state,
 void Shard::checkpoint() {
   if (!durable()) return;
   IDLERED_SPAN("serve.checkpoint");
+  // The table iterates in arrival order; sorting by id makes the snapshot
+  // bytes a function of the state alone (and the reader requires it).
+  std::vector<std::pair<std::uint64_t, const VehicleState*>> order;
+  order.reserve(states_.size());
+  states_.for_each([&](std::uint64_t id, const VehicleState& state) {
+    order.emplace_back(id, &state);
+  });
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   ShardSnap snap;
   snap.cursor = apply_index_;
-  snap.vehicles.reserve(states_.size());
-  for (const auto& [id, state] : states_) {
+  snap.vehicles.reserve(order.size());
+  for (const auto& [id, state_ptr] : order) {
+    const VehicleState& state = *state_ptr;
     VehicleSnap v;
     v.vehicle = id;
     v.last_seq = state.last_seq;
@@ -417,7 +431,7 @@ std::vector<Decision> Shard::recover() {
       state.last_seq = v.last_seq;
       state.strikes = v.strikes;
       state.quarantined = v.quarantined;
-      states_.emplace(v.vehicle, std::move(state));
+      states_.try_emplace(v.vehicle, std::move(state));
     }
   }
 
@@ -437,14 +451,15 @@ std::vector<Decision> Shard::recover() {
 }
 
 std::uint64_t Shard::last_applied_seq(std::uint64_t vehicle_id) const {
-  const auto it = states_.find(vehicle_id);
-  return it == states_.end() ? 0 : it->second.last_seq;
+  const VehicleState* state = states_.find(vehicle_id);
+  return state == nullptr ? 0 : state->last_seq;
 }
 
 std::uint64_t Shard::quarantined_vehicles() const {
   std::uint64_t n = 0;
-  for (const auto& [id, state] : states_)
+  states_.for_each([&](std::uint64_t, const VehicleState& state) {
     if (state.quarantined) ++n;
+  });
   return n;
 }
 

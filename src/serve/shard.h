@@ -32,8 +32,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/arena.h"
@@ -43,6 +43,7 @@
 #include "serve/queue.h"
 #include "serve/shedder.h"
 #include "serve/snapshot.h"
+#include "serve/vehicle_table.h"
 #include "stats/rolling.h"
 #include "util/thread_annotations.h"
 
@@ -154,9 +155,10 @@ class Shard {
   ShardParams params_;
   BoundedEventQueue queue_;
   LoadShedder shedder_;
-  /// Ordered map: snapshot files list vehicles in a deterministic order,
-  /// so identical state produces byte-identical snapshots.
-  std::map<std::uint64_t, VehicleState> states_ IDLERED_GUARDED_BY(pump_role_);
+  /// Flat open-addressed table (serve/vehicle_table.h). It iterates in
+  /// arrival order, so checkpoint() sorts by vehicle id to keep snapshot
+  /// bytes a function of state alone.
+  VehicleTable<VehicleState> states_ IDLERED_GUARDED_BY(pump_role_);
   /// WAL index of the last applied event.
   std::uint64_t apply_index_ IDLERED_GUARDED_BY(pump_role_) = 0;
   std::uint64_t applied_since_checkpoint_ IDLERED_GUARDED_BY(pump_role_) = 0;
@@ -164,6 +166,10 @@ class Shard {
   WalWriter wal_ IDLERED_GUARDED_BY(pump_role_);
   /// Drain scratch, reused across pumps.
   std::vector<StopEvent> batch_ IDLERED_GUARDED_BY(pump_role_);
+  /// WAL-barrier scratch: (vehicle, highest seq walled so far) for the
+  /// vehicles of the current batch, reused across pumps.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pending_
+      IDLERED_GUARDED_BY(pump_role_);
   /// Arena for the COA vertex LP (eq. 32-33: <= 2 constraints, 3 vars),
   /// reused across every decision this shard prices — the re-solve loop
   /// never touches the heap. Pump-thread only, like all decision state.

@@ -1,6 +1,7 @@
 #include "serve/snapshot.h"
 
 #include "util/bits.h"
+#include "util/contracts.h"
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -122,6 +123,10 @@ std::optional<ServeMeta> read_meta(const std::string& dir) {
 
 void write_shard_snapshot(const std::string& dir, std::size_t shard,
                           const ShardSnap& snap) {
+  for (std::size_t i = 1; i < snap.vehicles.size(); ++i)
+    IDLERED_EXPECTS(snap.vehicles[i - 1].vehicle < snap.vehicles[i].vehicle,
+                    "write_shard_snapshot: vehicle ids must be strictly "
+                    "increasing");
   std::ostringstream os;
   os << kSnapMagic << '\n'
      << "cursor " << snap.cursor << '\n'
@@ -187,6 +192,10 @@ std::optional<ShardSnap> read_shard_snapshot(const std::string& dir,
         tag != "v" || guard_tag != "g")
       corrupt(path, "malformed vehicle line");
     if (!parse_hex64(vehicle_hex, v.vehicle)) corrupt(path, "bad vehicle id");
+    // The writer emits ids strictly increasing; a repeated or out-of-order
+    // id is damage, and restoring it would track one vehicle twice.
+    if (!snap.vehicles.empty() && v.vehicle <= snap.vehicles.back().vehicle)
+      corrupt(path, "vehicle ids not strictly increasing");
     v.short_sum = decode_bits(short_bits);
     v.guard.last_value = decode_bits(last_value_bits);
     v.guard.last_timestamp = decode_bits(last_ts_bits);

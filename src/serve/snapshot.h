@@ -85,12 +85,14 @@ void write_meta(const std::string& dir, const ServeMeta& meta);
 std::optional<ServeMeta> read_meta(const std::string& dir);
 
 /// Atomic (tmp + rename) snapshot write; throws std::runtime_error on I/O
-/// failure.
+/// failure. Precondition: vehicle ids strictly increasing (the canonical
+/// order that makes equal state produce equal bytes).
 void write_shard_snapshot(const std::string& dir, std::size_t shard,
                           const ShardSnap& snap);
 
 /// nullopt when no snapshot exists; throws std::runtime_error when one
-/// exists but is corrupt (missing end marker / malformed line).
+/// exists but is corrupt (missing end marker / malformed line / vehicle
+/// ids not strictly increasing).
 std::optional<ShardSnap> read_shard_snapshot(const std::string& dir,
                                              std::size_t shard);
 

@@ -20,11 +20,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -35,6 +37,7 @@
 
 #include "serve/service.h"
 #include "serve/snapshot.h"
+#include "util/thread_annotations.h"
 
 namespace idlered::serve {
 namespace {
@@ -363,6 +366,180 @@ TEST(RecoveryTest, MetaMismatchIsRefused) {
   EXPECT_THROW(DecisionService::recover(other), std::runtime_error);
   ServeConfig missing = durable_config(fresh_dir("no_meta"), 1);
   EXPECT_THROW(DecisionService::recover(missing), std::runtime_error);
+}
+
+// ---- snapshot determinism and recovery at fleet scale --------------------
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing " << path;
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+std::vector<std::string> snapshot_bytes(const std::string& dir,
+                                        std::size_t shards) {
+  std::vector<std::string> bytes;
+  for (std::size_t s = 0; s < shards; ++s)
+    bytes.push_back(read_bytes(snapshot_path(dir, s)));
+  return bytes;
+}
+
+void feed(DecisionService& svc, const std::vector<StopEvent>& events) {
+  std::vector<Decision> out;
+  std::size_t i = 0;
+  for (const StopEvent& e : events) {
+    ASSERT_EQ(svc.submit(e), Admit::kAccepted);
+    if (++i % 4 == 0) svc.pump(out);
+  }
+  svc.drain_all(out);
+}
+
+// The state table iterates in arrival order; the snapshot must not. Two
+// services see the same per-vehicle event sequences, interleaved
+// differently (round-robin vs vehicle-major, last vehicle first), and must
+// write byte-identical snapshots — before and after a recovery.
+TEST(SnapshotDeterminismTest, BytesDoNotDependOnArrivalOrder) {
+  const std::vector<StopEvent> round_robin = fleet_schedule(400, 23);
+  std::vector<StopEvent> vehicle_major = round_robin;
+  std::stable_sort(vehicle_major.begin(), vehicle_major.end(),
+                   [](const StopEvent& a, const StopEvent& b) {
+                     return a.vehicle > b.vehicle;
+                   });
+  ASSERT_NE(round_robin.front().vehicle, vehicle_major.front().vehicle);
+
+  const std::string dir_a = fresh_dir("order_a");
+  const std::string dir_b = fresh_dir("order_b");
+  ServeConfig cfg_a = durable_config(dir_a, 2);
+  ServeConfig cfg_b = durable_config(dir_b, 2);
+  cfg_a.snapshot_every = cfg_b.snapshot_every = 0;  // checkpoint once, below
+  std::vector<std::string> before;
+  {
+    DecisionService a(cfg_a);
+    DecisionService b(cfg_b);
+    feed(a, round_robin);
+    feed(b, vehicle_major);
+    if (HasFatalFailure()) return;
+    a.checkpoint();
+    b.checkpoint();
+    before = snapshot_bytes(dir_a, cfg_a.num_shards);
+    EXPECT_EQ(before, snapshot_bytes(dir_b, cfg_b.num_shards));
+  }
+
+  auto ra = DecisionService::recover(cfg_a);
+  auto rb = DecisionService::recover(cfg_b);
+  EXPECT_TRUE(ra.replayed.empty());
+  EXPECT_TRUE(rb.replayed.empty());
+  ra.service->checkpoint();
+  rb.service->checkpoint();
+  EXPECT_EQ(snapshot_bytes(dir_a, cfg_a.num_shards), before);
+  EXPECT_EQ(snapshot_bytes(dir_b, cfg_b.num_shards), before);
+}
+
+struct ShardView {
+  std::size_t tracked = 0;
+  std::uint64_t quarantined = 0;
+  std::uint64_t applied = 0;
+};
+
+std::vector<ShardView> shard_views(const DecisionService& svc) {
+  std::vector<ShardView> views;
+  for (std::size_t s = 0; s < svc.num_shards(); ++s) {
+    const Shard& shard = svc.shard(s);
+    util::ScopedAssumeRole role(shard.pump_role());  // quiesced service
+    views.push_back(
+        {shard.vehicles_tracked(), shard.quarantined_vehicles(),
+         shard.applied()});
+  }
+  return views;
+}
+
+// 100K vehicles: a checkpoint, a WAL tail that quarantines vehicles and
+// adds new ones, a crash, then recovery — which rebuilds each shard's
+// state table from scratch, growing it through every doubling. The
+// recovered shards must track exactly the pre-crash vehicle set.
+TEST(RecoveryScaleTest, HundredThousandVehiclesRecoverExactly) {
+  constexpr std::uint64_t kVehicles = 100000;
+  constexpr std::uint64_t kNew = 5000;  // first seen in the WAL tail
+  const std::string dir = fresh_dir("scale");
+  ServeConfig cfg = durable_config(dir, 1);
+  cfg.num_shards = 4;
+  cfg.queue_capacity = 4096;
+  cfg.drain_batch = 1024;
+  cfg.snapshot_every = 0;
+
+  // One stop per vehicle; vehicles 0 mod 1000 are poisoned into
+  // quarantine before the checkpoint, 500 mod 1000 after it.
+  const auto stop = [](std::uint64_t v, std::uint64_t seq, bool poison) {
+    StopEvent e;
+    e.vehicle = v;
+    e.seq = seq;
+    e.timestamp_s = static_cast<double>(seq);
+    e.stop_length_s = poison ? kNan : 10.0 + static_cast<double>(v % 89);
+    return e;
+  };
+  std::vector<StopEvent> head;
+  std::vector<StopEvent> tail;
+  for (std::uint64_t v = 1; v <= kVehicles; ++v) {
+    const bool poison_head = v % 1000 == 0;
+    for (std::uint64_t seq = 1; seq <= (poison_head ? 4 : 1); ++seq)
+      head.push_back(stop(v, seq, poison_head));
+    if (v % 1000 == 500) {
+      for (std::uint64_t seq = 2; seq <= 5; ++seq)
+        tail.push_back(stop(v, seq, true));
+    } else if (v % 97 == 0) {
+      tail.push_back(stop(v, poison_head ? 5 : 2, false));
+    }
+  }
+  for (std::uint64_t v = kVehicles + 1; v <= kVehicles + kNew; ++v)
+    tail.push_back(stop(v, 1, false));
+
+  std::vector<ShardView> want;
+  std::vector<std::uint64_t> want_seq;
+  {
+    DecisionService svc(cfg);
+    std::vector<Decision> out;
+    const auto run = [&](const std::vector<StopEvent>& events) {
+      for (const StopEvent& e : events) {
+        while (svc.submit(e) == Admit::kRejectedQueueFull) {
+          out.clear();
+          svc.pump(out);
+        }
+      }
+      out.clear();
+      svc.drain_all(out);
+    };
+    run(head);
+    svc.checkpoint();
+    run(tail);
+    want = shard_views(svc);
+    for (std::uint64_t v = 1; v <= kVehicles + kNew + 1; ++v)
+      want_seq.push_back(svc.last_applied_seq(v));
+  }  // crash: no shutdown, no final checkpoint
+
+  std::uint64_t tracked = 0;
+  std::uint64_t quarantined = 0;
+  for (const ShardView& w : want) {
+    tracked += w.tracked;
+    quarantined += w.quarantined;
+  }
+  ASSERT_EQ(tracked, kVehicles + kNew);
+  ASSERT_EQ(quarantined, 2 * kVehicles / 1000);
+
+  auto recovered = DecisionService::recover(cfg);
+  EXPECT_EQ(recovered.replayed.size(), tail.size());
+  const std::vector<ShardView> got = shard_views(*recovered.service);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(got[s].tracked, want[s].tracked) << "shard " << s;
+    EXPECT_EQ(got[s].quarantined, want[s].quarantined) << "shard " << s;
+    EXPECT_EQ(got[s].applied, want[s].applied) << "shard " << s;
+  }
+  std::size_t mismatched = 0;
+  for (std::uint64_t v = 1; v <= kVehicles + kNew + 1; ++v)
+    if (recovered.service->last_applied_seq(v) != want_seq[v - 1])
+      ++mismatched;
+  EXPECT_EQ(mismatched, 0u);
+  EXPECT_EQ(want_seq.back(), 0u);  // one id past the fleet: never seen
 }
 
 }  // namespace

@@ -8,6 +8,10 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "util/contracts.h"
 
 namespace idlered::serve {
 namespace {
@@ -89,7 +93,7 @@ ShardSnap sample_snap() {
   v.strikes = 1;
   v.quarantined = false;
   snap.vehicles.push_back(v);
-  v.vehicle = 2;
+  v.vehicle = 0x9abcdef0ULL;  // ids strictly increasing, as the writer needs
   v.quarantined = true;
   snap.vehicles.push_back(v);
   return snap;
@@ -137,6 +141,69 @@ TEST(ShardSnapshotTest, TruncatedSnapshotIsRejectedNotMisread) {
   std::ofstream(path, std::ios::binary | std::ios::trunc)
       << body.substr(0, body.size() - 5);
   EXPECT_THROW(read_shard_snapshot(dir, 0), std::runtime_error);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+// Rewrites the snapshot's two vehicle lines (lines 3 and 4) as
+// `first`, `second`, chosen from the original pair by index.
+void rewrite_vehicle_lines(const std::string& path, int first, int second) {
+  const std::string body = read_file(path);
+  std::vector<std::string> lines;
+  std::size_t at = 0;
+  while (at < body.size()) {
+    const std::size_t nl = body.find('\n', at);
+    lines.push_back(body.substr(at, nl + 1 - at));
+    at = nl + 1;
+  }
+  ASSERT_EQ(lines.size(), 6u);  // magic, cursor, vehicles, v, v, end
+  const std::string v[2] = {lines[3], lines[4]};
+  lines[3] = v[first];
+  lines[4] = v[second];
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const std::string& line : lines) out << line;
+}
+
+void expect_rejected_for_order(const std::string& dir) {
+  try {
+    read_shard_snapshot(dir, 0);
+    ADD_FAILURE() << "snapshot with misordered ids was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("strictly increasing"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// A duplicated vehicle line (count still matching the header) would
+// otherwise restore as two live entries for one vehicle.
+TEST(ShardSnapshotTest, DuplicatedVehicleLineIsRejected) {
+  const std::string dir = fresh_dir("snap_dup");
+  write_shard_snapshot(dir, 0, sample_snap());
+  rewrite_vehicle_lines(snapshot_path(dir, 0), 0, 0);
+  if (HasFatalFailure()) return;
+  expect_rejected_for_order(dir);
+}
+
+TEST(ShardSnapshotTest, SwappedVehicleLinesAreRejected) {
+  const std::string dir = fresh_dir("snap_swap");
+  write_shard_snapshot(dir, 0, sample_snap());
+  rewrite_vehicle_lines(snapshot_path(dir, 0), 1, 0);
+  if (HasFatalFailure()) return;
+  expect_rejected_for_order(dir);
+}
+
+TEST(ShardSnapshotTest, WriterRefusesUnsortedIds) {
+  const std::string dir = fresh_dir("snap_unsorted");
+  ShardSnap snap = sample_snap();
+  std::swap(snap.vehicles[0], snap.vehicles[1]);
+  util::contracts::ScopedMode mode(util::contracts::Mode::kThrow);
+  EXPECT_THROW(write_shard_snapshot(dir, 0, snap),
+               util::contracts::ContractViolation);
+  EXPECT_FALSE(read_shard_snapshot(dir, 0).has_value());
 }
 
 WalRecord rec(std::uint64_t index, std::uint64_t seq) {
